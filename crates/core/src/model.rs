@@ -501,6 +501,7 @@ fn log_compression_event(report: &TrainingReport, hss: &HssMatrix) {
         .num("bytes", report.matrix_memory_bytes)
         .num("samples", hss.construction_stats().samples_used)
         .num("restarts", hss.construction_stats().restarts)
+        .num("saturated", hss.construction_stats().saturated)
         .num("sampling_us", (report.hss_sampling_seconds * 1e6) as u64)
         .num("other_us", (report.hss_other_seconds * 1e6) as u64)
         .emit();

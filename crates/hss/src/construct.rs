@@ -41,7 +41,7 @@ pub struct HssOptions {
     pub oversampling: usize,
     /// Upper bound on the number of random vectors before giving up on
     /// adaptation (the representation is still returned, with saturated
-    /// ranks).
+    /// ranks and [`ConstructionStats::saturated`] set).
     pub max_samples: usize,
     /// Hard cap on the rank of any node (0 = unlimited).
     pub max_rank: usize,
@@ -86,6 +86,10 @@ pub struct ConstructionStats {
     pub samples_used: usize,
     /// Number of times the construction restarted with more samples.
     pub restarts: usize,
+    /// The last pass still saturated but the sample budget
+    /// (`max_samples`, capped at `n`) was spent, so the representation
+    /// may be rank-truncated and less accurate than the tolerance asks.
+    pub saturated: bool,
 }
 
 /// Errors from HSS construction.
@@ -179,8 +183,9 @@ pub fn compress_symmetric(
                 let cap = opts.max_samples.min(n);
                 if num_samples >= cap {
                     // Cannot add more samples; accept the (possibly
-                    // rank-truncated) representation.
+                    // rank-truncated) representation and say so.
                     stats.samples_used = num_samples;
+                    stats.saturated = true;
                     return Ok(HssMatrix {
                         tree,
                         nodes,
@@ -458,8 +463,29 @@ mod tests {
         };
         let hss = compress_symmetric(&a, &a, ordering(n, 16), &opts).unwrap();
         assert!(hss.construction_stats().restarts >= 1);
+        assert!(!hss.construction_stats().saturated);
         let err = blas::relative_error(&a, &hss.to_dense());
         assert!(err < 1e-5, "reconstruction error {err}");
+    }
+
+    #[test]
+    fn exhausted_sample_budget_is_reported_as_saturated() {
+        // Same matrix, but a budget of 8 samples cannot reach its ranks:
+        // the truncated representation comes back flagged.
+        let n = 128;
+        let a = kernel_1d(n, 0.02);
+        let opts = HssOptions {
+            tolerance: 1e-8,
+            initial_samples: 4,
+            oversampling: 2,
+            max_samples: 8,
+            ..Default::default()
+        };
+        let hss = compress_symmetric(&a, &a, ordering(n, 16), &opts).unwrap();
+        let st = hss.construction_stats();
+        assert!(st.saturated);
+        assert_eq!(st.samples_used, 8);
+        assert_eq!(st.restarts, 1);
     }
 
     #[test]
@@ -518,6 +544,7 @@ mod tests {
         let hss = compress_symmetric(&a, &a, ordering(n, 8), &HssOptions::default()).unwrap();
         let st = hss.construction_stats();
         assert!(st.samples_used >= 32);
+        assert!(!st.saturated);
         assert!(st.sampling_seconds >= 0.0);
         assert!(st.other_seconds >= 0.0);
     }

@@ -12,8 +12,12 @@ use rayon::prelude::*;
 
 /// A linear operator exposing entry access and matrix-vector products.
 ///
-/// Implementors must be `Sync` so that sampling products can be evaluated
-/// in parallel over columns of the random block.
+/// Implementors must be `Sync` so that products can run in parallel. The
+/// default [`matmat`](LinearOperator::matmat) is one matvec per column of
+/// the random block, parallel over columns; operators with structure
+/// override it (the kernel matrix fuses entry evaluation with a GEMM in
+/// row tiles, so each entry is evaluated once per product, not once per
+/// column).
 pub trait LinearOperator: Sync {
     /// Number of rows of the operator.
     fn nrows(&self) -> usize;
@@ -54,7 +58,9 @@ pub trait LinearOperator: Sync {
         });
     }
 
-    /// Multi-vector product `Y = A X`, parallel over the columns of `X`.
+    /// Multi-vector product `Y = A X`; the default runs one
+    /// [`matvec`](LinearOperator::matvec) per column of `X`, parallel over
+    /// the columns.
     fn matmat(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.nrows(), self.ncols(), "matmat: dimension mismatch");
         let cols: Vec<Vec<f64>> = (0..x.ncols())

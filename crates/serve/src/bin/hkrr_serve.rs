@@ -1270,6 +1270,11 @@ fn main() -> ExitCode {
         "doctor" => cmd_doctor(&args),
         other => Err(format!("unknown command {other:?}\n{USAGE}")),
     });
+    // One-shot subcommands (`save`, `info`, `trace-merge`, …) never reach
+    // the serve loops' periodic flush; without this their spans and events
+    // stay buffered and `HKRR_TRACE` / `HKRR_LOG` are left empty.
+    hkrr_telemetry::trace::flush();
+    hkrr_telemetry::log::flush();
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

@@ -692,6 +692,8 @@ fn dec_hss(bytes: &[u8], tree: &ClusterTree) -> Result<HssMatrix> {
         other_seconds: d.f64()?,
         samples_used: d.usize()?,
         restarts: d.usize()?,
+        // Not persisted: the flag describes the fit, not the stored model.
+        saturated: false,
     };
     let num_nodes = d.len(1)?;
     let mut nodes = Vec::with_capacity(num_nodes);

@@ -51,7 +51,12 @@ fn spawn_shard(model: &str, shard: usize, trace_path: &str) -> (Child, String) {
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn shard-serve");
-    let stdout = child.stdout.take().unwrap();
+    let addr = announced_addr(child.stdout.take().unwrap(), shard);
+    (child, addr)
+}
+
+/// The address a `shard-serve` child prints on its `listening ADDR` line.
+fn announced_addr(stdout: std::process::ChildStdout, shard: usize) -> String {
     let mut reader = std::io::BufReader::new(stdout);
     let mut line = String::new();
     loop {
@@ -59,7 +64,7 @@ fn spawn_shard(model: &str, shard: usize, trace_path: &str) -> (Child, String) {
         let n = reader.read_line(&mut line).unwrap();
         assert!(n > 0, "shard {shard} exited before announcing its port");
         if let Some(addr) = line.trim().strip_prefix("listening ") {
-            return (child, addr.to_string());
+            return addr.to_string();
         }
     }
 }
